@@ -1,14 +1,20 @@
-"""Candidate-scan stage: legacy scan vs dense batch kernel vs pruned probe.
+"""Candidate-scan stage: reference scan vs dense batch kernel vs pruned probe.
 
 The matching step is the reduction's inner loop: every incoming segment is
 compared against all stored representatives sharing its structural key.  This
 benchmark times exactly that stage (via the reducer's match counters) on the
 sweep3d workload at the default scale, three ways per configuration:
 
-* the legacy Python scan (``TraceReducer(batch=False)``) — the oracle;
-* the dense one-shot ``match_batch`` kernel (``batch=True, prune=False``);
-* the production pruned probe (``batch=True, prune=True``): norm-bound
+* the reference Python scan (``ReferenceReducer(metric)``) — the oracle;
+* the reference dense one-shot ``match_batch`` kernel
+  (``ReferenceReducer(metric, "dense")``);
+* the production pruned probe (``TraceReducer(metric)``): norm-bound
   prefilter over the cached summary column plus blocked early-exit scan.
+
+The dense and pruned timers start after the probe's feature vector is built
+(the production loop builds all of a rank's vectors in one bulk frame pass
+before matching), so those two compare like for like; the scan builds its
+vectors inside ``metric.match``, as the paper's algorithm does.
 
 All three reductions must be byte-identical, every configuration's pruned
 probe must be at least as fast as the scan (the small-bucket floor), and the
@@ -36,6 +42,7 @@ from support import RESULTS_DIR, emit, run_once, write_bench_json
 from repro.core.candidates import MatchCounters
 from repro.core.metrics import DEFAULT_THRESHOLDS, create_metric
 from repro.core.reducer import TraceReducer
+from repro.core.reference import ReferenceReducer
 from repro.experiments.config import build_workload, get_scale
 from repro.trace.events import Event
 from repro.trace.io import iter_reduced_rank_chunks, serialize_reduced_trace
@@ -70,7 +77,7 @@ CONFIGS: tuple[tuple[str, float], ...] = (
 HEADLINE = ("euclidean", 0.001)
 MIN_HEADLINE_SPEEDUP = 3.0
 
-#: Small-bucket floor: no configuration may be slower than the legacy scan.
+#: Small-bucket floor: no configuration may be slower than the reference scan.
 #: Shallow buckets take a single lean kernel call (no blocking, no prefilter),
 #: which is what keeps the default-threshold configs above water.
 MIN_CONFIG_SPEEDUP = 1.0
@@ -86,11 +93,15 @@ STORE_METHOD = ("euclidean", 0.001)
 MIN_STORE_SPEEDUP = 2.0
 
 
-def _timed_reduction(
-    segmented, metric_name: str, threshold: float, *, batch: bool, prune: bool = True
-):
+def _reducer(metric_name: str, threshold: float, kernel: str):
+    """The production reducer for ``"pruned"``, else a reference kernel."""
+    metric = create_metric(metric_name, threshold)
+    return TraceReducer(metric) if kernel == "pruned" else ReferenceReducer(metric, kernel)
+
+
+def _timed_reduction(segmented, metric_name: str, threshold: float, kernel: str):
     counters = MatchCounters()
-    reducer = TraceReducer(create_metric(metric_name, threshold), batch=batch, prune=prune)
+    reducer = _reducer(metric_name, threshold, kernel)
     started = time.perf_counter()
     reduced = reducer.reduce(segmented, match_counters=counters)
     total = time.perf_counter() - started
@@ -107,19 +118,17 @@ MAX_REPEATS = 5
 
 def _compare(segmented, metric_name: str, threshold: float) -> dict:
     scan_bytes, reduced, scan, scan_total = _timed_reduction(
-        segmented, metric_name, threshold, batch=False
+        segmented, metric_name, threshold, "scan"
     )
-    dense_bytes, _, dense, _ = _timed_reduction(
-        segmented, metric_name, threshold, batch=True, prune=False
-    )
+    dense_bytes, _, dense, _ = _timed_reduction(segmented, metric_name, threshold, "dense")
     pruned_bytes, _, pruned, pruned_total = _timed_reduction(
-        segmented, metric_name, threshold, batch=True, prune=True
+        segmented, metric_name, threshold, "pruned"
     )
     assert dense_bytes == scan_bytes, (
-        f"dense batch matcher diverged from the legacy scan for {metric_name}({threshold})"
+        f"dense batch matcher diverged from the reference scan for {metric_name}({threshold})"
     )
     assert pruned_bytes == scan_bytes, (
-        f"pruned matcher diverged from the legacy scan for {metric_name}({threshold})"
+        f"pruned matcher diverged from the reference scan for {metric_name}({threshold})"
     )
     scan_seconds = scan.seconds
     dense_seconds = dense.seconds
@@ -128,19 +137,15 @@ def _compare(segmented, metric_name: str, threshold: float) -> dict:
     while scan_seconds < REPEAT_TARGET_SECONDS and reps < MAX_REPEATS:
         scan_seconds = min(
             scan_seconds,
-            _timed_reduction(segmented, metric_name, threshold, batch=False)[2].seconds,
+            _timed_reduction(segmented, metric_name, threshold, "scan")[2].seconds,
         )
         dense_seconds = min(
             dense_seconds,
-            _timed_reduction(
-                segmented, metric_name, threshold, batch=True, prune=False
-            )[2].seconds,
+            _timed_reduction(segmented, metric_name, threshold, "dense")[2].seconds,
         )
         pruned_seconds = min(
             pruned_seconds,
-            _timed_reduction(
-                segmented, metric_name, threshold, batch=True, prune=True
-            )[2].seconds,
+            _timed_reduction(segmented, metric_name, threshold, "pruned")[2].seconds,
         )
         reps += 1
     return {
@@ -191,9 +196,9 @@ def _store_stress_segments(n_segments: int, *, seed: int = 20260807) -> list[Seg
     return segments
 
 
-def _timed_segment_reduction(segments, metric_name: str, threshold: float, *, prune: bool):
+def _timed_segment_reduction(segments, metric_name: str, threshold: float, kernel: str):
     counters = MatchCounters()
-    reducer = TraceReducer(create_metric(metric_name, threshold), batch=True, prune=prune)
+    reducer = _reducer(metric_name, threshold, kernel)
     reduced = reducer.reduce_segments(segments, match_counters=counters)
     return b"".join(iter_reduced_rank_chunks(reduced)), reduced, counters
 
@@ -204,11 +209,9 @@ def _run_store_scaling() -> dict:
     sizes = []
     for cut in STORE_CUTS:
         segments = stream[: STORE_BASE_SEGMENTS * cut]
-        dense_bytes, _, dense = _timed_segment_reduction(
-            segments, method, threshold, prune=False
-        )
+        dense_bytes, _, dense = _timed_segment_reduction(segments, method, threshold, "dense")
         pruned_bytes, reduced, pruned = _timed_segment_reduction(
-            segments, method, threshold, prune=True
+            segments, method, threshold, "pruned"
         )
         assert pruned_bytes == dense_bytes, (
             f"pruned store-stress reduction diverged from the dense kernel at {cut}x"
@@ -335,9 +338,9 @@ def test_match_kernel_speedup(benchmark):
         # whatever the bucket depth profile of the configuration.
         assert entry["match_speedup"] >= MIN_CONFIG_SPEEDUP, (
             f"{entry['method']}({entry['threshold']}) pruned matcher is slower than "
-            f"the legacy scan: {entry['match_speedup']}x"
+            f"the reference scan: {entry['match_speedup']}x"
         )
-    # The acceptance bar: the pruned probe must beat the legacy scan by at
+    # The acceptance bar: the pruned probe must beat the reference scan by at
     # least 3x on the deep-candidate-list headline configuration.
     assert report["headline"]["match_speedup"] >= MIN_HEADLINE_SPEEDUP, (
         f"headline match-kernel speedup {report['headline']['match_speedup']}x "

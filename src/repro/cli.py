@@ -37,7 +37,7 @@ from typing import Optional, Sequence
 
 from repro import obs
 from repro.core.metrics import METRIC_NAMES, THRESHOLD_STUDY, create_metric
-from repro.core.reducer import TraceReducer
+from repro.core.reference import ReferenceReducer
 from repro.experiments.comparative import (
     comparative_study,
     fig5_size_and_matching,
@@ -70,7 +70,7 @@ class _UsageError(Exception):
 
 
 class _VerificationFailed(Exception):
-    """``--verify`` found a mismatch against the serial reducer oracle.
+    """``--verify`` found a mismatch against the serial reference reducer.
 
     Carries the rendered report so the caller can still print it; the
     process exits non-zero so scripted callers can gate on the flag.
@@ -178,7 +178,8 @@ def build_parser() -> argparse.ArgumentParser:
     pipeline.add_argument(
         "--verify",
         action="store_true",
-        help="also run the serial reducer and check the outputs are byte-identical",
+        help="also run the serial reference reducer and check the outputs are "
+        "byte-identical",
     )
     pipeline.add_argument(
         "--output", default=None, help="stream the reduced trace to this file"
@@ -251,8 +252,8 @@ def build_parser() -> argparse.ArgumentParser:
     sweep.add_argument(
         "--verify",
         action="store_true",
-        help="also run every config through the serial reducer and check the "
-        "reduced traces are byte-identical",
+        help="also run every config through the serial reference reducer and check "
+        "the reduced traces are byte-identical",
     )
     sweep.add_argument(
         "--json",
@@ -345,7 +346,8 @@ def build_parser() -> argparse.ArgumentParser:
     serve.add_argument(
         "--verify",
         action="store_true",
-        help="check every session's output is byte-identical to the serial reducer",
+        help="check every session's output is byte-identical to the serial "
+        "reference reducer",
     )
     serve.add_argument(
         "--telemetry",
@@ -572,7 +574,8 @@ def _cmd_pipeline(args, scale) -> str:
     if args.verify:
         if segmented is None:
             segmented = read_trace(source).segmented()
-        serial = TraceReducer(create_metric(args.method, args.threshold)).reduce(segmented)
+        oracle = ReferenceReducer(create_metric(args.method, args.threshold), "dense")
+        serial = oracle.reduce(segmented)
         identical = serialize_reduced_trace(serial) == serialize_reduced_trace(result.reduced)
         rows.append(["matches serial reducer", "yes" if identical else "NO"])
     if args.output:
@@ -681,9 +684,8 @@ def _cmd_sweep(args, scale) -> str:
         for outcome in sweep_result:
             # The oracle must run under the same store bound as the sweep,
             # or a binding --store-capacity would "fail" verification.
-            serial = TraceReducer(outcome.config.create()).reduce_streams(
-                prepared.name,
-                ((r.rank, r.segments) for r in prepared.segmented.ranks),
+            serial = ReferenceReducer(outcome.config.create(), "dense").reduce(
+                prepared.segmented,
                 store_factory=lambda: create_store(args.store_capacity),
             )
             if serialize_reduced_trace(outcome.reduced) != serialize_reduced_trace(serial):
@@ -901,8 +903,8 @@ def _cmd_serve(args, scale) -> str:
                 for rank, segments in stream
             ],
         )
-        serial = TraceReducer(create_metric(args.method, args.threshold)).reduce(segmented)
-        want = serialize_reduced_trace(serial)
+        oracle = ReferenceReducer(create_metric(args.method, args.threshold), "dense")
+        want = serialize_reduced_trace(oracle.reduce(segmented))
         identical = all(
             serialize_reduced_trace(result.reduced) == want for result in results
         )

@@ -22,8 +22,8 @@ lazily, for stored representatives, mutation-bearing metrics, and
 reduced-trace output; :attr:`RankFrame.materialized` counts how few that is.
 ``.rpb`` files decode straight into frames (:func:`repro.trace.binio.rank_frame`);
 text and in-memory sources adapt through :meth:`RankFrame.from_segments`, so
-every engine runs one code path.  The segment-at-a-time
-:class:`~repro.core.reducer.TraceReducer` remains the byte-identity oracle.
+every engine runs one code path.  The segment-at-a-time reducers of
+:mod:`repro.core.reference` are the byte-identity oracles.
 """
 
 from __future__ import annotations

@@ -16,8 +16,8 @@ consume a trace file without ever rebuilding its
   frame *is* execution order), which is all the EXPERT analyzer reads;
 * :meth:`FrameTrace.duration` is a column ``max``.
 
-The only consumers that still need segment objects are oracles and scan
-metrics; for them :attr:`FrameRankTrace.segments` lazily materializes the
+The only consumers that still need absolute segment objects are the
+reference oracles (:mod:`repro.core.reference`); for them :attr:`FrameRankTrace.segments` lazily materializes the
 *absolute* segments from the columns — counted in
 :attr:`RankFrame.materialized` like every other materialization, so the
 evaluation equivalence tests can assert how rarely that happens.

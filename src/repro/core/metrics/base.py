@@ -96,25 +96,6 @@ class SimilarityMetric(ABC):
         return the *first* match, mirroring the paper's algorithm.
         """
 
-    def match_candidates(
-        self,
-        candidate: Segment,
-        candidates: Sequence[StoredSegment],
-        counters=None,
-        *,
-        prune: bool = True,
-    ) -> Optional[StoredSegment]:
-        """Match against a candidate bucket, batched when the bucket allows it.
-
-        The default simply delegates to :meth:`match` (the per-candidate
-        scan); :class:`DistanceMetric` overrides this to run its vectorized
-        kernels when handed a :class:`~repro.core.candidates.CandidateList`.
-        ``counters`` (a :class:`~repro.core.candidates.MatchCounters`) and
-        ``prune`` only affect the batched override; they are accepted here so
-        callers can pass them uniformly for any metric.
-        """
-        return self.match(candidate, candidates)
-
     def on_match(self, candidate: Segment, chosen: StoredSegment) -> None:
         """Hook invoked after a successful match (default: count it)."""
         chosen.count += 1
@@ -364,37 +345,46 @@ class DistanceMetric(SimilarityMetric):
             counters.rows_pruned += pruned
         return found
 
-    def match_candidates(
+    def match_row(
         self,
-        candidate: Segment,
+        vector: np.ndarray,
         candidates: Sequence[StoredSegment],
         counters=None,
-        *,
-        prune: bool = True,
     ) -> Optional[StoredSegment]:
-        if isinstance(candidates, CandidateList):
-            vector = self.build_vector(candidate)
-            if prune and len(candidates) > FIRST_BLOCK:
-                matrix, scales, summaries = candidates.matrix_scales_summaries(self)
-                index = self.match_pruned(vector, matrix, scales, summaries, counters)
-                return candidates[index] if index is not None else None
-            # Shallow buckets (the overwhelmingly common case at the paper's
-            # default thresholds) take the dense kernel inline — no summary
-            # lookups, no blocking, no extra call frames — so pruning costs
-            # them nothing and the batched probe stays ahead of the scan even
-            # at depth one.
-            matrix, scales = candidates.matrix_and_scales(self)
-            if matrix.shape[0] == 1 and self.match_one is not None:
-                # Depth-one bucket: scalar kernel on the cached row — 1-D ops
-                # beat a (1, n) axis reduction, and unlike the scan the stored
-                # vector never gets rebuilt.
-                entry = candidates[0]
-                return entry if self.match_one(vector, matrix[0]) else None
-            stat, base = self.match_stats(vector, matrix, scales)
-            mask = stat <= (self.threshold if base is None else self.threshold * base)
-            if mask.size:
-                index = mask.argmax()
-                if mask[index]:
-                    return candidates[int(index)]
+        """First representative of a bucket similar to the probe ``vector``.
+
+        ``vector`` is the probe's :meth:`build_vector` row.  On a
+        :class:`~repro.core.candidates.CandidateList` bucket, shallow buckets
+        (the overwhelmingly common case at the paper's default thresholds)
+        take the dense kernel inline — no summary lookups, no blocking, no
+        extra call frames — and a depth-one bucket with a :attr:`match_one`
+        kernel skips even that; buckets deeper than :data:`FIRST_BLOCK` take
+        the pruned, blocked probe (:meth:`match_pruned`), which accumulates
+        into ``counters`` when given.  Any other sequence (a custom store's
+        bucket) is scanned against each representative's cached vector.
+        """
+        if not isinstance(candidates, CandidateList):
+            row_scale = self.row_scale
+            for entry in candidates:
+                row = self.candidate_vector(entry)
+                scales = None if row_scale is None else np.array([row_scale(row)])
+                if self.match_batch(vector, row[np.newaxis], scales) is not None:
+                    return entry
             return None
-        return self.match(candidate, candidates)
+        if len(candidates) > FIRST_BLOCK:
+            matrix, scales, summaries = candidates.matrix_scales_summaries(self)
+            index = self.match_pruned(vector, matrix, scales, summaries, counters)
+            return candidates[index] if index is not None else None
+        matrix, scales = candidates.matrix_and_scales(self)
+        if matrix.shape[0] == 1 and self.match_one is not None:
+            # Scalar kernel on the cached row: 1-D ops beat a (1, n) axis
+            # reduction.
+            entry = candidates[0]
+            return entry if self.match_one(vector, matrix[0]) else None
+        stat, base = self.match_stats(vector, matrix, scales)
+        mask = stat <= (self.threshold if base is None else self.threshold * base)
+        if mask.size:
+            index = mask.argmax()
+            if mask[index]:
+                return candidates[int(index)]
+        return None

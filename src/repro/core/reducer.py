@@ -8,30 +8,31 @@ decides whether the measurements match; on a match only the ``(segment id,
 start time)`` execution entry is recorded, otherwise the segment itself is
 stored as a new representative.
 
-The reducer consumes segments one at a time from any iterable, so it composes
-with the streaming readers in :mod:`repro.pipeline.stream` without the whole
-trace being materialized.  The candidate-list bookkeeping can be delegated to
-a pluggable representative store (see :mod:`repro.pipeline.store`) — anything
-with ``candidates(key)`` / ``add(key, stored)`` — which is how the pipeline
-bounds reducer memory; with no store the historical inline dictionary is used.
+Production runs that loop exactly once, in :meth:`TraceReducer.reduce_frame`
+over a rank's columnar :class:`~repro.core.frames.RankFrame`: in-memory
+segment lists adapt through :meth:`RankFrame.from_segments`, ``.rpb`` files
+decode straight to frames.  The candidate-list bookkeeping can be delegated
+to a pluggable representative store (see :mod:`repro.pipeline.store`) —
+anything with ``candidates(key)`` / ``add(key, stored)`` — which is how the
+pipeline bounds reducer memory; with no store an unbounded inline dictionary
+is used.  The segment-at-a-time scan and dense kernels that this loop must
+reproduce byte for byte live in :mod:`repro.core.reference`.
 """
 
 from __future__ import annotations
 
 import time
-from typing import TYPE_CHECKING, Iterable, Optional, Protocol, Sequence, Tuple
+from typing import Iterable, Optional, Protocol, Sequence
 
 import numpy as np
 
 from repro import obs
 from repro.core.candidates import CandidateList, MatchCounters
-from repro.core.metrics.base import FIRST_BLOCK, DistanceMetric, SimilarityMetric
+from repro.core.frames import RankFrame
+from repro.core.metrics.base import DistanceMetric, SimilarityMetric
 from repro.core.reduced import ReducedRankTrace, ReducedTrace, StoredSegment
 from repro.trace.segments import Segment
-from repro.trace.trace import SegmentedRankTrace, SegmentedTrace
-
-if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.core.frames import RankFrame
+from repro.trace.trace import SegmentedTrace
 
 __all__ = ["TraceReducer", "reduce_trace", "SegmentStore"]
 
@@ -45,14 +46,14 @@ class SegmentStore(Protocol):
 
 
 class _InlineStore:
-    """The reducer's historical unbounded candidate dictionary.
+    """The reducer's default unbounded candidate dictionary.
 
     Also the storage layer of :class:`repro.pipeline.store.UnboundedStore`,
     which subclasses it to add lookup counters — the unbounded semantics are
     implemented exactly once.  Buckets are
     :class:`~repro.core.candidates.CandidateList`\\ s, so the batched match
-    kernels see a contiguous row matrix per structural key; to the legacy
-    scan they still behave as ordered sequences.
+    kernels see a contiguous row matrix per structural key; to the
+    reference scan they still behave as ordered sequences.
     """
 
     __slots__ = ("_by_key", "_size")
@@ -74,7 +75,7 @@ class _InlineStore:
     def add_built(self, key: tuple, stored: StoredSegment, metric, row) -> None:
         """Register a representative with its feature row already built.
 
-        Optional store hook (the columnar path discovers it via ``getattr``):
+        Optional store hook (the reducer discovers it via ``getattr``):
         like :meth:`add`, but hands the bucket the probe vector that just
         failed to match so it becomes the new matrix row without a rebuild.
         """
@@ -92,35 +93,17 @@ class TraceReducer:
     """Applies one similarity metric to segmented traces.
 
     A reducer instance is stateless between calls; it can be reused across
-    ranks and traces.
-
-    ``batch=True`` (the default) routes candidate matching through the
-    metric's vectorized kernels whenever the store's buckets carry a row
-    matrix; ``batch=False`` forces the legacy per-candidate scan.  On the
-    batched path ``prune=True`` (the default) additionally runs the blocked
-    early-exit probe with the metric's norm-bound prefilter, so the exact
-    kernel only sees prefilter survivors; ``prune=False`` keeps the dense
-    one-shot ``match_batch`` kernel.  All three produce byte-identical
-    reduced traces — the flags exist so the scan and the dense kernel can
-    serve as benchmark baselines and equivalence oracles.
+    ranks and traces.  Every entry point funnels into :meth:`reduce_frame`,
+    the one per-segment loop; the segment-at-a-time implementations it is
+    checked against live in :mod:`repro.core.reference`.
     """
 
-    def __init__(self, metric: SimilarityMetric, *, batch: bool = True, prune: bool = True):
+    def __init__(self, metric: SimilarityMetric):
         if not isinstance(metric, SimilarityMetric):
             raise TypeError(
                 f"metric must be a SimilarityMetric, got {type(metric).__name__}"
             )
         self.metric = metric
-        self.batch = bool(batch)
-        self.prune = bool(prune)
-
-    # -- per-rank reduction ---------------------------------------------------
-
-    def reduce_rank(
-        self, rank_trace: SegmentedRankTrace, *, store: Optional[SegmentStore] = None
-    ) -> ReducedRankTrace:
-        """Reduce one rank's segment list."""
-        return self.reduce_segments(rank_trace.segments, rank=rank_trace.rank, store=store)
 
     def reduce_segments(
         self,
@@ -131,143 +114,79 @@ class TraceReducer:
         match_counters: Optional[MatchCounters] = None,
         into: Optional[ReducedRankTrace] = None,
     ) -> ReducedRankTrace:
-        """Reduce a segment stream (list, generator, or any iterable).
+        """Reduce a segment iterable (list, generator, ...) via :meth:`reduce_frame`.
 
-        Segments are consumed one at a time; memory is bounded by the
-        representative store, not the input length.  When ``match_counters``
-        is given, the match-kernel stage (calls, candidate rows, wall time)
-        is accumulated into it; with None the hot loop carries no timing
-        overhead.
-
-        ``into`` makes the call *incremental*: segments are appended to an
-        existing :class:`ReducedRankTrace` (new representatives continue its
-        id sequence) instead of starting a fresh one.  Passing the same
-        ``store`` and ``into`` across successive calls reduces a trace that
-        arrives in pieces byte-identically to one batch call over the
-        concatenated stream — the contract the online reduction service
-        (:mod:`repro.service`) is built on.
+        The segments are consumed into one :meth:`RankFrame.from_segments`
+        frame first; the keyword arguments mean what they mean there.
         """
-        reduced = ReducedRankTrace(rank=rank) if into is None else into
-        if store is None:
-            store = _InlineStore()
-        next_id = len(reduced.stored)
-        metric = self.metric
-        batched = self.batch
-        prune = self.prune
-        matcher = metric.match_candidates if batched else metric.match
-        mutates = metric.mutates_stored
-        perf_counter = time.perf_counter
-
-        for segment in segments:
-            reduced.n_segments += 1
-            relative = segment.relative_to_start()
-            key = relative.structure()
-            candidates = store.candidates(key)
-            chosen = None
-            if candidates:
-                reduced.n_possible_matches += 1
-                if match_counters is None:
-                    if batched:
-                        chosen = matcher(relative, candidates, prune=prune)
-                    else:
-                        chosen = matcher(relative, candidates)
-                else:
-                    started = perf_counter()
-                    if batched:
-                        chosen = matcher(relative, candidates, match_counters, prune=prune)
-                    else:
-                        chosen = matcher(relative, candidates)
-                    match_counters.seconds += perf_counter() - started
-                    match_counters.calls += 1
-                    match_counters.rows_compared += len(candidates)
-            if chosen is not None:
-                reduced.n_matches += 1
-                reduced.execs.append((chosen.segment_id, segment.start))
-                reduced.exec_matched.append(True)
-                metric.on_match(relative, chosen)
-                if mutates:
-                    refresh = getattr(candidates, "refresh", None)
-                    if refresh is not None:
-                        refresh(chosen)
-            else:
-                stored_segment = StoredSegment(segment_id=next_id, segment=relative)
-                next_id += 1
-                store.add(key, stored_segment)
-                reduced.stored.append(stored_segment)
-                reduced.execs.append((stored_segment.segment_id, segment.start))
-                reduced.exec_matched.append(False)
-        return reduced
-
-    # -- columnar (frame) reduction ---------------------------------------------
+        return self.reduce_frame(
+            RankFrame.from_segments(rank, segments),
+            store=store,
+            match_counters=match_counters,
+            into=into,
+        )
 
     def reduce_frame(
         self,
-        frame: "RankFrame",
+        frame: RankFrame,
         *,
         store: Optional[SegmentStore] = None,
         match_counters: Optional[MatchCounters] = None,
         into: Optional[ReducedRankTrace] = None,
     ) -> ReducedRankTrace:
-        """Reduce one rank's columnar frame — the lazy-materialization path.
+        """Reduce one rank's columnar frame.
 
-        Structural keys and feature vectors come straight from the frame's
-        bulk passes; :class:`~repro.trace.segments.Segment` objects are only
-        materialized for stored representatives (and for metrics the bulk
-        path cannot serve).  Byte-identical to :meth:`reduce_segments` over
-        the frame's decoded segments — the latter remains the oracle.
+        Structural keys and, for distance metrics, feature vectors come
+        straight from the frame's bulk passes; distance metrics probe with
+        those vectors (:meth:`DistanceMetric.match_row`), other metrics get
+        the materialized segment.  :class:`~repro.trace.segments.Segment`
+        objects are otherwise only materialized for stored representatives
+        and non-default ``on_match`` hooks.
 
-        ``into`` continues an existing :class:`ReducedRankTrace` (see
-        :meth:`reduce_segments`): the incremental form the online reduction
-        service uses to feed appended chunks through the columnar path.
+        When ``match_counters`` is given, the matching step (calls, candidate
+        rows, wall time) is accumulated into it; with None the loop carries
+        no timing overhead.  ``into`` makes the call *incremental*: the frame
+        is appended to an existing :class:`ReducedRankTrace` (new
+        representatives continue its id sequence).  Passing the same
+        ``store`` and ``into`` across successive calls reduces a trace that
+        arrives in pieces byte-identically to one call over the whole stream
+        — the contract the online reduction service (:mod:`repro.service`)
+        is built on.
         """
         reduced = ReducedRankTrace(rank=frame.rank) if into is None else into
         reduced.n_segments += frame.n_segments
         if store is None:
             store = _InlineStore()
-        if self.batch and isinstance(self.metric, DistanceMetric):
-            self._reduce_frame_vectorized(frame, reduced, store, match_counters)
-        else:
-            self._reduce_frame_scan(frame, reduced, store, match_counters)
-        return reduced
-
-    def _reduce_frame_vectorized(
-        self,
-        frame: "RankFrame",
-        reduced: ReducedRankTrace,
-        store: SegmentStore,
-        match_counters: Optional[MatchCounters],
-    ) -> None:
-        """Distance metrics: probe with pre-built vectors, materialize on store."""
         metric = self.metric
         keys = frame.structural_keys()
-        vectors = metric.frame_vectors(frame)
         starts = frame.starts_list()
+        vectors = metric.frame_vectors(frame) if isinstance(metric, DistanceMetric) else None
         mutates = metric.mutates_stored
         # When on_match is the base-class default (count the match) it runs
         # inline, so matches never force a Segment materialization.
         default_on_match = type(metric).on_match is SimilarityMetric.on_match
-        vector_key = metric.vector_key()
-        add_built = getattr(store, "add_built", None)
+        # Non-mutating distance metrics seed each new representative with its
+        # probe vector, so the bucket never rebuilds the row.
+        seed_rows = vectors is not None and not mutates
+        vector_key = metric.vector_key() if seed_rows else None
+        add_built = getattr(store, "add_built", None) if seed_rows else None
         perf_counter = time.perf_counter
-        prune = self.prune
         next_id = len(reduced.stored)
 
         for i in range(frame.n_segments):
             key = keys[i]
-            vector = vectors[i]
+            segment = None if vectors is not None else frame.segment(i)
             candidates = store.candidates(key)
             chosen = None
             if candidates:
                 reduced.n_possible_matches += 1
-                if match_counters is None:
-                    chosen = self._match_frame_row(
-                        metric, frame, i, vector, candidates, None, prune
-                    )
-                else:
+                if match_counters is not None:
                     started = perf_counter()
-                    chosen = self._match_frame_row(
-                        metric, frame, i, vector, candidates, match_counters, prune
-                    )
+                if segment is None:
+                    chosen = metric.match_row(vectors[i], candidates, match_counters)
+                else:
+                    chosen = metric.match(segment, candidates)
+                if match_counters is not None:
                     match_counters.seconds += perf_counter() - started
                     match_counters.calls += 1
                     match_counters.rows_compared += len(candidates)
@@ -278,117 +197,31 @@ class TraceReducer:
                 if default_on_match:
                     chosen.count += 1
                 else:
-                    metric.on_match(frame.segment(i), chosen)
+                    if segment is None:
+                        segment = frame.segment(i)
+                    metric.on_match(segment, chosen)
                 if mutates:
                     refresh = getattr(candidates, "refresh", None)
                     if refresh is not None:
                         refresh(chosen)
             else:
-                stored_segment = StoredSegment(segment_id=next_id, segment=frame.segment(i))
+                if segment is None:
+                    segment = frame.segment(i)
+                stored_segment = StoredSegment(segment_id=next_id, segment=segment)
                 next_id += 1
-                if not mutates:
-                    # Seed the vector cache with a private copy (a frame row
-                    # is a view that would pin the whole group matrix) and
-                    # hand the row to the bucket so it is never recomputed.
-                    row = np.array(vector)
+                if seed_rows:
+                    # A private copy: a frame row is a view that would pin
+                    # the whole group matrix.
+                    row = np.array(vectors[i])
                     stored_segment.cached_vector(vector_key, lambda _s, _row=row: _row)
-                    if add_built is not None:
-                        add_built(key, stored_segment, metric, row)
-                    else:
-                        store.add(key, stored_segment)
+                if add_built is not None:
+                    add_built(key, stored_segment, metric, row)
                 else:
                     store.add(key, stored_segment)
                 reduced.stored.append(stored_segment)
                 reduced.execs.append((stored_segment.segment_id, starts[i]))
                 reduced.exec_matched.append(False)
-
-    @staticmethod
-    def _match_frame_row(metric, frame, i, vector, candidates, counters=None, prune=True):
-        """Batched probe of one frame row against a candidate bucket."""
-        if isinstance(candidates, CandidateList):
-            if prune and len(candidates) > FIRST_BLOCK:
-                matrix, scales, summaries = candidates.matrix_scales_summaries(metric)
-                index = metric.match_pruned(vector, matrix, scales, summaries, counters)
-                return candidates[index] if index is not None else None
-            # Shallow buckets bypass the pruning machinery entirely (see
-            # DistanceMetric.match_candidates): the dense kernel, inline.
-            matrix, scales = candidates.matrix_and_scales(metric)
-            if matrix.shape[0] == 1 and metric.match_one is not None:
-                # Depth-one fast path (see DistanceMetric.match_candidates).
-                entry = candidates[0]
-                return entry if metric.match_one(vector, matrix[0]) else None
-            stat, base = metric.match_stats(vector, matrix, scales)
-            mask = stat <= (metric.threshold if base is None else metric.threshold * base)
-            if mask.size:
-                index = mask.argmax()
-                if mask[index]:
-                    return candidates[int(index)]
-            return None
-        # A custom store without CandidateList buckets: scan semantics need
-        # the segment itself.
-        return metric.match_candidates(frame.segment(i), candidates)
-
-    def _reduce_frame_scan(
-        self,
-        frame: "RankFrame",
-        reduced: ReducedRankTrace,
-        store: SegmentStore,
-        match_counters: Optional[MatchCounters],
-    ) -> None:
-        """Scan metrics (iteration methods): materialize each segment.
-
-        These metrics inspect the segment object itself, so the frame only
-        contributes the interned structural keys; the per-segment work is
-        exactly what :meth:`reduce_segments` did.
-        """
-        metric = self.metric
-        batched = self.batch
-        prune = self.prune
-        matcher = metric.match_candidates if batched else metric.match
-        mutates = metric.mutates_stored
-        keys = frame.structural_keys()
-        starts = frame.starts_list()
-        perf_counter = time.perf_counter
-        next_id = len(reduced.stored)
-
-        for i in range(frame.n_segments):
-            relative = frame.segment(i)
-            candidates = store.candidates(keys[i])
-            chosen = None
-            if candidates:
-                reduced.n_possible_matches += 1
-                if match_counters is None:
-                    if batched:
-                        chosen = matcher(relative, candidates, prune=prune)
-                    else:
-                        chosen = matcher(relative, candidates)
-                else:
-                    started = perf_counter()
-                    if batched:
-                        chosen = matcher(relative, candidates, match_counters, prune=prune)
-                    else:
-                        chosen = matcher(relative, candidates)
-                    match_counters.seconds += perf_counter() - started
-                    match_counters.calls += 1
-                    match_counters.rows_compared += len(candidates)
-            if chosen is not None:
-                reduced.n_matches += 1
-                reduced.execs.append((chosen.segment_id, starts[i]))
-                reduced.exec_matched.append(True)
-                metric.on_match(relative, chosen)
-                if mutates:
-                    refresh = getattr(candidates, "refresh", None)
-                    if refresh is not None:
-                        refresh(chosen)
-            else:
-                stored_segment = StoredSegment(segment_id=next_id, segment=relative)
-                next_id += 1
-                store.add(keys[i], stored_segment)
-                reduced.stored.append(stored_segment)
-                reduced.execs.append((stored_segment.segment_id, starts[i]))
-                reduced.exec_matched.append(False)
-
-    # -- whole-trace reduction --------------------------------------------------
+        return reduced
 
     def reduce(
         self, trace: SegmentedTrace, *, match_counters: Optional[MatchCounters] = None
@@ -396,10 +229,8 @@ class TraceReducer:
         """Reduce every rank of ``trace`` independently (intra-process reduction).
 
         Frame-backed ranks (a :class:`~repro.core.frametrace.FrameTrace`)
-        route through :meth:`reduce_frame`, so their segments are never
-        materialized just to be re-normalised; segment-list ranks take
-        :meth:`reduce_segments` as before.  Both produce byte-identical
-        reduced traces.
+        hand over their frame; segment-list ranks adapt through
+        :meth:`RankFrame.from_segments`.
         """
         reduced = ReducedTrace(
             name=trace.name,
@@ -407,53 +238,13 @@ class TraceReducer:
             threshold=self.metric.threshold,
         )
         for rank_trace in trace.ranks:
-            frame = getattr(rank_trace, "frame", None)
             # Span per rank, not per segment: the segment loop is the match
             # kernel's hot path and must stay telemetry-free.
             with obs.span("rank.reduce", rank=rank_trace.rank):
-                if frame is not None:
-                    reduced.ranks.append(
-                        self.reduce_frame(frame, match_counters=match_counters)
-                    )
-                else:
-                    reduced.ranks.append(
-                        self.reduce_segments(
-                            rank_trace.segments,
-                            rank=rank_trace.rank,
-                            match_counters=match_counters,
-                        )
-                    )
-        return reduced
-
-    def reduce_streams(
-        self,
-        name: str,
-        streams: Iterable[Tuple[int, Iterable[Segment]]],
-        *,
-        store_factory=None,
-        match_counters: Optional[MatchCounters] = None,
-    ) -> ReducedTrace:
-        """Reduce ``(rank, segment stream)`` pairs serially, in stream order.
-
-        ``store_factory`` builds one representative store per rank (e.g.
-        ``lambda: LRUStore(1000)``); with None each rank gets the unbounded
-        inline dictionary.
-        """
-        reduced = ReducedTrace(
-            name=name,
-            method=self.metric.name,
-            threshold=self.metric.threshold,
-        )
-        for rank, segments in streams:
-            store = store_factory() if store_factory is not None else None
-            # Span per rank, not per segment: the segment loop is the match
-            # kernel's hot path and must stay telemetry-free.
-            with obs.span("rank.reduce", rank=rank):
-                reduced.ranks.append(
-                    self.reduce_segments(
-                        segments, rank=rank, store=store, match_counters=match_counters
-                    )
-                )
+                frame = getattr(rank_trace, "frame", None)
+                if frame is None:
+                    frame = RankFrame.from_segments(rank_trace.rank, rank_trace.segments)
+                reduced.ranks.append(self.reduce_frame(frame, match_counters=match_counters))
         return reduced
 
 

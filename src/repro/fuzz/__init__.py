@@ -14,8 +14,9 @@ nobody would hand-write.  Three layers:
   the malformed-rank fallback in :mod:`repro.trace.binio`.
 * **Executor + oracles** (:mod:`repro.fuzz.executor`,
   :mod:`repro.fuzz.oracles`): every generated case runs through each
-  configured pathway pair — serial scan vs dense vs pruned matching, the
-  columnar frame path, inline vs sharded pipeline, sweep grid vs per-config
+  configured pathway pair — reference scan vs dense kernel vs the
+  production frame loop over ``.rpb``-decoded and segment-adapted frames,
+  inline vs sharded pipeline, sweep grid vs per-config
   loop, batch vs incremental session with a mid-stream checkpoint/restore,
   text and ``.rpb`` round trips — and the outputs are cross-checked
   byte-for-byte, with the metric's own similarity bound replayed on the

@@ -1,12 +1,12 @@
 """Cross-pathway oracles: every generated case through every pathway pair.
 
 The repository keeps many implementations of the same reduction semantics —
-the scalar scan, the dense batch kernel, the pruned kernel, the columnar
-frame path, the pipeline executors, the sweep engine, the incremental
-session — all documented as byte-identical.  Each oracle here runs one
-alternative pathway over a generated case and compares its
-:func:`~repro.trace.io.serialize_reduced_trace` bytes against the ground
-truth: a serial scalar-scan :class:`~repro.core.reducer.TraceReducer`.
+the reference scan and dense kernels, the production ``reduce_frame`` loop
+over in-memory and ``.rpb``-decoded frames, the pipeline executors, the sweep
+engine, the incremental session — all documented as byte-identical.  Each
+oracle here runs one alternative pathway over a generated case and compares
+its :func:`~repro.trace.io.serialize_reduced_trace` bytes against the ground
+truth: the serial scan of :class:`~repro.core.reference.ReferenceReducer`.
 
 Every oracle gets a fresh metric instance (``iter_avg`` mutates stored
 representatives, so sharing one would couple the pathways) and a fresh
@@ -30,10 +30,12 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
+from repro.core.frames import RankFrame
 from repro.core.metrics import create_metric
-from repro.core.reducer import TraceReducer
 from repro.core.reconstruct import reconstruct
 from repro.core.reduced import ReducedTrace
+from repro.core.reducer import TraceReducer
+from repro.core.reference import ReferenceReducer
 from repro.evaluation.approximation import timestamp_errors
 from repro.fuzz.generators import DISTANCE_METRICS, CaseConfig
 from repro.pipeline.engine import PipelineConfig, ReductionPipeline
@@ -127,21 +129,29 @@ class CaseContext:
             self._segmented = self.trace.segmented()
         return self._segmented
 
-    def reduce_serial(self, *, batch: bool, prune: bool, method=None, threshold=Ellipsis) -> ReducedTrace:
-        """One serial reduction over in-memory segment streams."""
-        reducer = TraceReducer(self.metric(method, threshold), batch=batch, prune=prune)
-        segmented = self.segmented
-        return reducer.reduce_streams(
-            segmented.name,
-            ((r.rank, r.segments) for r in segmented.ranks),
-            store_factory=self.store_factory(),
+    def reduce_reference(self, kernel: str, method=None, threshold=Ellipsis) -> ReducedTrace:
+        """One reference reduction (``"scan"`` or ``"dense"``) of the case."""
+        reducer = ReferenceReducer(self.metric(method, threshold), kernel)
+        return reducer.reduce(self.segmented, store_factory=self.store_factory())
+
+    def reduce_frames(self, frames) -> ReducedTrace:
+        """Production ``reduce_frame`` over per-rank frames, fresh store each."""
+        reducer = TraceReducer(self.metric())
+        store_factory = self.store_factory()
+        reduced = ReducedTrace(
+            name=self.segmented.name,
+            method=reducer.metric.name,
+            threshold=reducer.metric.threshold,
         )
+        for frame in frames:
+            reduced.ranks.append(reducer.reduce_frame(frame, store=store_factory()))
+        return reduced
 
     @property
     def baseline(self) -> ReducedTrace:
-        """Ground truth: the scalar scan, segment-at-a-time, serial."""
+        """Ground truth: the reference scan, segment-at-a-time, serial."""
         if self._baseline is None:
-            self._baseline = self.reduce_serial(batch=False, prune=False)
+            self._baseline = self.reduce_reference("scan")
         return self._baseline
 
     @property
@@ -175,30 +185,26 @@ class CaseContext:
 
 
 def oracle_dense_vs_scan(ctx: CaseContext) -> Optional[str]:
-    """Vectorized dense batch kernel == scalar scan."""
-    return ctx.check(ctx.reduce_serial(batch=True, prune=False), "dense kernel")
+    """Reference dense ``match_batch`` kernel == reference scan."""
+    return ctx.check(ctx.reduce_reference("dense"), "dense kernel")
 
 
 def oracle_pruned_vs_scan(ctx: CaseContext) -> Optional[str]:
-    """Norm-bound pruning index + blocked early-exit probe == scalar scan."""
-    return ctx.check(ctx.reduce_serial(batch=True, prune=True), "pruned kernel")
+    """Production ``reduce_frame`` over ``.rpb``-decoded frames == scan.
+
+    Covers the production probe (depth-one fast path, blocked early exit,
+    norm-bound prefilter) fed by the binary column decoder.
+    """
+    frames = (binio.rank_frame(ctx.rpb_path, r.rank) for r in ctx.segmented.ranks)
+    return ctx.check(ctx.reduce_frames(frames), "pruned kernel")
 
 
 def oracle_frame_path(ctx: CaseContext) -> Optional[str]:
-    """Columnar ``reduce_frame`` (lazy materialization) == scalar scan."""
-    from repro.core.frames import RankFrame
-
-    reducer = TraceReducer(ctx.metric())
-    store_factory = ctx.store_factory()
-    reduced = ReducedTrace(
-        name=ctx.segmented.name,
-        method=reducer.metric.name,
-        threshold=reducer.metric.threshold,
+    """Production ``reduce_frame`` over segments→frame adapter frames == scan."""
+    frames = (
+        RankFrame.from_segments(r.rank, r.segments) for r in ctx.segmented.ranks
     )
-    for rank_trace in ctx.segmented.ranks:
-        frame = RankFrame.from_segments(rank_trace.rank, rank_trace.segments)
-        reduced.ranks.append(reducer.reduce_frame(frame, store=store_factory()))
-    return ctx.check(reduced, "frame path")
+    return ctx.check(ctx.reduce_frames(frames), "frame path")
 
 
 # --------------------------------------------------------------------------
@@ -255,14 +261,11 @@ def oracle_sweep_grid(ctx: CaseContext) -> Optional[str]:
         name=ctx.trace.name,
     )
     for outcome in result:
-        # The per-config comparator uses the dense kernel (itself pinned to
-        # the scalar scan by dense_vs_scan) — a deep case would otherwise
+        # The per-config comparator uses the reference dense kernel (itself
+        # pinned to the scan by dense_vs_scan) — a deep case would otherwise
         # pay the O(n²) python scan once per grid config.
-        serial = ctx.reduce_serial(
-            batch=True,
-            prune=False,
-            method=outcome.config.method,
-            threshold=outcome.config.threshold,
+        serial = ctx.reduce_reference(
+            "dense", method=outcome.config.method, threshold=outcome.config.threshold
         )
         divergence = _first_divergence(
             serialize_reduced_trace(serial),
@@ -346,14 +349,8 @@ def oracle_rpb_roundtrip(ctx: CaseContext) -> Optional[str]:
             return f"rpb round trip: rank {orig.rank} records changed"
     if reread.nprocs != ctx.trace.nprocs:
         return f"rpb round trip: {ctx.trace.nprocs} ranks in, {reread.nprocs} out"
-    reducer = TraceReducer(ctx.metric())
-    segmented = reread.segmented()
-    reduced = reducer.reduce_streams(
-        segmented.name,
-        ((r.rank, r.segments) for r in segmented.ranks),
-        store_factory=ctx.store_factory(),
-    )
-    return ctx.check(reduced, "rpb round trip")
+    frames = (RankFrame.from_segments(r.rank, r.segments) for r in reread.segmented().ranks)
+    return ctx.check(ctx.reduce_frames(frames), "rpb round trip")
 
 
 def oracle_text_roundtrip(ctx: CaseContext) -> Optional[str]:
@@ -373,14 +370,8 @@ def oracle_text_roundtrip(ctx: CaseContext) -> Optional[str]:
     convert_trace(rpb2, text2)
     if ctx.text_path.read_bytes() != text2.read_bytes():
         return "text round trip: text→rpb→text changed the text serialization"
-    reducer = TraceReducer(ctx.metric())
-    segmented = reread.segmented()
-    reduced = reducer.reduce_streams(
-        segmented.name,
-        ((r.rank, r.segments) for r in segmented.ranks),
-        store_factory=ctx.store_factory(),
-    )
-    return ctx.check(reduced, "text round trip")
+    frames = (RankFrame.from_segments(r.rank, r.segments) for r in reread.segmented().ranks)
+    return ctx.check(ctx.reduce_frames(frames), "text round trip")
 
 
 # --------------------------------------------------------------------------

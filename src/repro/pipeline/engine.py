@@ -11,8 +11,8 @@ path (the equivalence tests assert exactly that, for every similarity metric).
 Executors
 ---------
 ``serial``
-    No pool: each rank's stream is fed straight into the reducer, one segment
-    at a time.  Memory is bounded by the representative store; this is the
+    No pool: each rank is reduced in place, one rank at a time.  Memory is
+    bounded by one rank's frame plus the representative store; this is the
     right mode for huge traces on small machines.
 ``thread``
     A :class:`~concurrent.futures.ThreadPoolExecutor`.  Cheap to start and
@@ -47,7 +47,9 @@ Whatever the dispatch mode, every rank reaches the reducer as a
 :class:`~repro.core.frames.RankFrame` — ``.rpb`` ranks decode straight to
 columns, text and in-memory sources adapt through
 ``RankFrame.from_segments`` — so all executors run the one columnar code
-path, with the segment-at-a-time reducer kept as the byte-identity oracle.
+path, :meth:`~repro.core.reducer.TraceReducer.reduce_frame`.  The
+segment-at-a-time reducers of :mod:`repro.core.reference` are the
+byte-identity oracles.
 """
 
 from __future__ import annotations

@@ -19,8 +19,9 @@ ROADMAP:
   (trace digest, config) requests are answered without re-reduction.
 
 The incremental path is byte-identical to the batch
-:class:`~repro.core.reducer.TraceReducer`, which remains the oracle
-(``tests/service/test_session_equivalence.py``).
+:class:`~repro.core.reducer.TraceReducer`; both run the same ``reduce_frame``
+loop, and the segment-at-a-time reducers of :mod:`repro.core.reference` are
+the independent oracles (``tests/service/test_session_equivalence.py``).
 """
 
 from repro.service.cache import ResultCache, source_digest

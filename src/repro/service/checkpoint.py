@@ -20,8 +20,8 @@ Two properties make that work:
   portable across processes with different string-hash salts.
 
 The reducer itself is *not* pickled — it is stateless given the metric — and
-is rebuilt from the config, so checkpoints stay small and stable across
-reducer-internals refactors.
+is rebuilt around the restored metric, so checkpoints stay small and stable
+across reducer-internals refactors.
 """
 
 from __future__ import annotations
@@ -42,8 +42,9 @@ __all__ = [
 ]
 
 #: Bump when the payload layout changes; restores reject other versions
-#: instead of resuming from a misread state.
-STATE_VERSION = 1
+#: instead of resuming from a misread state.  Version 2 dropped the
+#: ``batch``/``prune`` fields from the pickled :class:`SessionConfig`.
+STATE_VERSION = 2
 
 
 def session_state(session: ReductionSession) -> bytes:
@@ -72,17 +73,14 @@ def restore_state(data: bytes) -> ReductionSession:
                 f"unsupported session checkpoint version {version!r}; "
                 f"this build reads version {STATE_VERSION}"
             )
-        config = payload["config"]
         session = ReductionSession.__new__(ReductionSession)
         session.name = payload["name"]
-        session.config = config
+        session.config = payload["config"]
         # The restored metric instance, not a fresh one: candidate lists in
         # the stores hold it as their owner, and ``iter_avg`` keeps per-run
         # state nowhere else — identity must survive the round trip.
         session.metric = payload["metric"]
-        session.reducer = TraceReducer(
-            session.metric, batch=config.batch, prune=config.prune
-        )
+        session.reducer = TraceReducer(session.metric)
         session.seq = payload["seq"]
         session.stats = payload["stats"]
         session._ranks = payload["ranks"]

@@ -37,13 +37,15 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
+from itertools import accumulate
+from operator import is_
 from typing import Iterable, Optional, Union
 
 import numpy as np
 
 from repro import obs
-from repro.core.candidates import CandidateList, MatchCounters, first_match_index
-from repro.core.frames import InternedKey, RankFrame
+from repro.core.candidates import CandidateList, MatchCounters
+from repro.core.frames import RankFrame
 from repro.core.metrics.base import (
     PRUNE_FALLBACK_DENOM,
     PRUNE_MIN_ROWS,
@@ -63,10 +65,6 @@ from repro.sweep.results import ConfigOutcome, SweepResult
 from repro.trace.segments import Segment
 
 __all__ = ["SweepStats", "SweepEngine", "sweep_source"]
-
-#: Backwards-compatible alias: the interned structural key now lives with the
-#: columnar frame machinery (every frame hands out the same wrapper objects).
-_InternedKey = InternedKey
 
 
 @dataclass(slots=True)
@@ -266,14 +264,12 @@ class SweepEngine:
         *,
         store_capacity: Optional[int] = None,
         instrument: bool = False,
-        prune: bool = True,
     ) -> None:
         if not isinstance(plan, SweepPlan):
             plan = SweepPlan(plan)
         self.plan = plan
         self.store_capacity = store_capacity
         self.instrument = instrument
-        self.prune = bool(prune)
 
     # -- per-rank reduction ------------------------------------------------------
 
@@ -294,7 +290,6 @@ class SweepEngine:
 
     def _sweep_rank(self, frame: RankFrame) -> _RankSweep:
         instrument = self.instrument
-        prune = self.prune
         capacity = self.store_capacity
         rank = frame.rank
         n_segments = frame.n_segments
@@ -331,9 +326,10 @@ class SweepEngine:
                 vectors = states[0].metric.frame_vectors(frame)
                 vector_builds += n_segments
                 vector_builds_naive += n_segments * len(states)
-            # (member states, their thresholds as a row-multiplier source)
+            # (member states, their thresholds as a row-multiplier source,
+            # a one-entry memo of the last stacked candidate matrix)
             kinds = [
-                (kind_states, np.array([s.threshold for s in kind_states]))
+                (kind_states, np.array([s.threshold for s in kind_states]), [None])
                 for kind_states in by_kind.values()
             ]
             families.append((states, kinds, vectors))
@@ -363,7 +359,7 @@ class SweepEngine:
                             reduced.n_possible_matches += 1
                             counters = state.match_counters
                             started = perf_counter() if counters is not None else 0.0
-                            chosen = state.metric.match_candidates(relative, candidates)
+                            chosen = state.metric.match(relative, candidates)
                             if counters is not None:
                                 counters.seconds += perf_counter() - started
                                 counters.calls += 1
@@ -374,7 +370,7 @@ class SweepEngine:
                 # One pre-built row serves every member config, both as the
                 # match probe and as the stored candidate's cached row.
                 vector = vectors[i]
-                for kind_states, kind_thresholds in kinds:
+                for kind_states, kind_thresholds, last in kinds:
                     # Gather each member's candidates; members with none
                     # store immediately, the rest join the stacked kernel.
                     participants = []
@@ -393,7 +389,7 @@ class SweepEngine:
                                 relative = rel[0]
                                 if relative is None:
                                     relative = rel[0] = frame.segment(i)
-                                chosen = state.metric.match_candidates(relative, candidates)
+                                chosen = state.metric.match(relative, candidates)
                                 self._record(
                                     state, key, frame, i, start, rel, candidates, chosen, vector
                                 )
@@ -406,12 +402,9 @@ class SweepEngine:
                     counted = perf_counter() if instrument else 0.0
                     if len(participants) == 1:
                         state, candidates, matrix, scales, summaries = participants[0]
-                        if prune:
-                            index = state.metric.match_pruned(
-                                vector, matrix, scales, summaries, state.match_counters
-                            )
-                        else:
-                            index = state.metric.match_batch(vector, matrix, scales)
+                        index = state.metric.match_pruned(
+                            vector, matrix, scales, summaries, state.match_counters
+                        )
                         chosen = candidates[index] if index is not None else None
                         self._record(state, key, frame, i, start, rel, candidates, chosen, vector)
                     else:
@@ -419,8 +412,8 @@ class SweepEngine:
                             participants,
                             kind_states,
                             kind_thresholds,
+                            last,
                             vector,
-                            prune,
                             key,
                             frame,
                             i,
@@ -459,8 +452,8 @@ class SweepEngine:
         participants: list,
         kind_states: list[_ConfigState],
         kind_thresholds: np.ndarray,
+        last: list,
         vector: np.ndarray,
-        prune: bool,
         key,
         frame: RankFrame,
         i: int,
@@ -471,28 +464,48 @@ class SweepEngine:
 
         The statistics and the masks are row-wise, so each member's slice is
         bitwise what its own solo kernel would compute; thresholds enter as
-        one repeated row-multiplier instead of a multiply per member.  With
-        pruning, the family's prefilter runs *once* over the stacked summary
-        columns — each row's prune limit carries its own member's threshold,
-        so survivors are shared across the whole threshold grid — and the
-        exact kernel only sees the surviving rows; each member's first match
-        is then recovered from the sorted matched-row indices.
+        one repeated row-multiplier instead of a multiply per member.  On
+        stacks of at least :data:`PRUNE_MIN_ROWS` rows, the family's
+        prefilter runs *once* over the stacked summary columns — each row's
+        prune limit carries its own member's threshold, so survivors are
+        shared across the whole threshold grid — and the exact kernel only
+        sees the surviving rows; each member's first match is then recovered
+        from the sorted matched-row indices.
+
+        ``last`` is the kind's one-entry memo of the previous call's stack.
+        A bucket hands out a new matrix view whenever it stores or evicts, so
+        while every participant returns the same view objects as last time
+        (the usual case: most probes match), the stack is reused as is.  The
+        memo holds one stack per kind, so beyond what the store holds it
+        keeps alive at most one structural key's rows (the stack and the
+        views it was built from).  Metrics that rewrite stored rows in place
+        never use it.
         """
-        counts = [p[2].shape[0] for p in participants]
-        stacked = np.concatenate([p[2] for p in participants])
-        if participants[0][3] is not None:
-            stacked_scales = np.concatenate([p[3] for p in participants])
-        else:
-            stacked_scales = None
-        if len(participants) == len(kind_states):
-            thresholds = kind_thresholds
-        else:
-            thresholds = np.array([p[0].threshold for p in participants])
-        per_row = np.repeat(thresholds, counts)
+        matrices = [p[2] for p in participants]
+        memo = last[0]
+        if (
+            memo is None
+            or len(memo[0]) != len(matrices)
+            or not all(map(is_, memo[0], matrices))
+        ):
+            counts = [matrix.shape[0] for matrix in matrices]
+            stacked = np.concatenate(matrices)
+            if participants[0][3] is not None:
+                stacked_scales = np.concatenate([p[3] for p in participants])
+            else:
+                stacked_scales = None
+            if len(participants) == len(kind_states):
+                thresholds = kind_thresholds
+            else:
+                thresholds = np.array([p[0].threshold for p in participants])
+            offsets = [0, *accumulate(counts)]
+            memo = (matrices, offsets, stacked, stacked_scales, np.repeat(thresholds, counts))
+            if not participants[0][0].mutates:
+                last[0] = memo
+        _, offsets, stacked, stacked_scales, per_row = memo
         metric = participants[0][0].metric
         if (
-            prune
-            and stacked.shape[0] >= PRUNE_MIN_ROWS
+            stacked.shape[0] >= PRUNE_MIN_ROWS
             and participants[0][4] is not None
             and metric.prune_stats is not None
         ):
@@ -508,43 +521,34 @@ class SweepEngine:
                 survivors = None
         else:
             survivors = None
-        if survivors is not None:
-            if survivors.size:
-                rows = stacked[survivors]
-                scales = stacked_scales[survivors] if stacked_scales is not None else None
-                stat, base = metric.match_stats(vector, rows, scales)
-                limits = per_row[survivors] if base is None else per_row[survivors] * base
-                matched = survivors[stat <= limits]
+        if survivors is None:
+            stat, base = metric.match_stats(vector, stacked, stacked_scales)
+            matched = (stat <= (per_row if base is None else per_row * base)).nonzero()[0]
+        elif survivors.size:
+            rows = stacked[survivors]
+            scales = stacked_scales[survivors] if stacked_scales is not None else None
+            stat, base = metric.match_stats(vector, rows, scales)
+            limits = per_row[survivors] if base is None else per_row[survivors] * base
+            matched = survivors[stat <= limits]
+        else:
+            matched = survivors  # empty: every row pruned
+        # Each member's first match is the first matched global row at or
+        # past its slice offset (``matched`` is ascending).
+        hits = matched.tolist()
+        firsts = matched.searchsorted(offsets).tolist()
+        pruned = self.instrument and survivors is not None
+        for j, (state, candidates, _, _, _) in enumerate(participants):
+            offset, stop = offsets[j], offsets[j + 1]
+            position = firsts[j]
+            if position < len(hits) and hits[position] < stop:
+                chosen = candidates[hits[position] - offset]
             else:
-                matched = survivors  # empty: every row pruned
-            instrument = self.instrument
-            offset = 0
-            for (state, candidates, _, _, _), count in zip(participants, counts):
-                stop = offset + count
-                # First matched global row inside this member's slice, if any
-                # (``matched`` is ascending, so this is the earliest match).
-                position = int(np.searchsorted(matched, offset))
-                if position < matched.size and matched[position] < stop:
-                    index = int(matched[position]) - offset
-                else:
-                    index = None
-                if instrument:
-                    counters = state.match_counters
-                    lo, hi = np.searchsorted(survivors, (offset, stop))
-                    counters.rows_pruned += count - int(hi - lo)
-                    counters.blocks_evaluated += 1
-                offset = stop
-                chosen = candidates[index] if index is not None else None
-                self._record(state, key, frame, i, start, rel, candidates, chosen, vector)
-            return
-        stat, base = metric.match_stats(vector, stacked, stacked_scales)
-        mask = stat <= (per_row if base is None else per_row * base)
-        offset = 0
-        for (state, candidates, _, _, _), count in zip(participants, counts):
-            stop = offset + count
-            index = first_match_index(mask[offset:stop])
-            offset = stop
-            chosen = candidates[index] if index is not None else None
+                chosen = None
+            if pruned:
+                counters = state.match_counters
+                lo, hi = np.searchsorted(survivors, (offset, stop))
+                counters.rows_pruned += stop - offset - int(hi - lo)
+                counters.blocks_evaluated += 1
             self._record(state, key, frame, i, start, rel, candidates, chosen, vector)
 
     @staticmethod

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from repro.core.candidates import CandidateList, MatchCounters, first_match_index
-from repro.core.metrics import METRIC_CLASSES, create_metric
+from repro.core.metrics import create_metric
 from repro.core.metrics.distance import AbsDiff, RelDiff
 from repro.core.metrics.minkowski import Chebyshev, Euclidean, Manhattan
 from repro.core.metrics.wavelet import AvgWave, HaarWave
@@ -184,14 +184,14 @@ class TestKernelAgainstScan:
         for entry in entries:
             bucket.append(entry)
         scanned = metric.match(candidate, entries)
-        batched = metric.match_candidates(candidate, bucket)
+        batched = metric.match_row(metric.build_vector(candidate), bucket)
         assert scanned is batched
 
     def test_no_match_returns_none(self, metric_cls):
         metric = metric_cls(1e-12)
         bucket = CandidateList()
         bucket.append(_stored(_jittered(250.0)))
-        assert metric.match_candidates(_jittered(0.0), bucket) is None
+        assert metric.match_row(metric.build_vector(_jittered(0.0)), bucket) is None
 
 
 class TestZeroClampedLimitsFixed:
@@ -219,7 +219,7 @@ class TestZeroClampedLimitsFixed:
         stored = _stored(b)
         bucket = CandidateList()
         bucket.append(stored)
-        assert metric.match_candidates(a, bucket) is metric.match(a, [stored])
+        assert metric.match_row(metric.build_vector(a), bucket) is metric.match(a, [stored])
 
     def test_wavelet_non_positive_coefficients_can_match(self):
         class NegatedAvgWave(AvgWave):
@@ -234,7 +234,7 @@ class TestZeroClampedLimitsFixed:
         assert metric.match(a, [_stored(b)]) is not None
         bucket = CandidateList()
         bucket.append(_stored(b))
-        assert metric.match_candidates(a, bucket) is not None
+        assert metric.match_row(metric.build_vector(a), bucket) is not None
 
     def test_paper_worked_examples_still_hold(self, paper_segments):
         """The magnitude fix must not change the paper's worked-example results."""
@@ -269,12 +269,21 @@ class TestMatchCounters:
         assert counters.seconds >= 0.0
 
 
-class TestEveryMetricHasBatchSupport:
-    @pytest.mark.parametrize("name", sorted(METRIC_CLASSES))
-    def test_match_candidates_works_on_candidate_list(self, name):
-        metric = create_metric(name)
+class TestMatchRowAgreesWithScan:
+    @pytest.mark.parametrize("metric_cls", DISTANCE_METRICS)
+    @pytest.mark.parametrize("delta", [0.05, 250.0])
+    def test_candidate_list_and_plain_bucket(self, metric_cls, delta):
+        """Both bucket kinds — the stores' CandidateList and a custom store's
+        plain list, which takes the vector-scan fallback — pick what the
+        paper's scan picks."""
+        metric = create_metric(metric_cls.name)
+        entries = [_stored(_jittered(d), sid=i) for i, d in enumerate([300.0, 0.0, 0.02])]
         bucket = CandidateList()
-        bucket.append(_stored(_jittered(0.0)))
-        # Must not raise for any of the 9 metrics, batched bucket or not.
-        metric.match_candidates(_jittered(0.05), bucket)
-        metric.match_candidates(_jittered(0.05), [bucket[0]])
+        for entry in entries:
+            bucket.append(entry)
+        probe = _jittered(delta)
+        expected = metric.match(probe, entries)
+        vector = metric.build_vector(probe)
+        assert metric.match_row(vector, bucket) is expected
+        assert metric.match_row(vector, list(entries)) is expected
+        assert metric.match_row(vector, [entries[0]]) is metric.match(probe, [entries[0]])

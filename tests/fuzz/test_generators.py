@@ -144,11 +144,9 @@ def test_threshold_edge_case_reduces_to_expected_match_pattern():
         "config": {"method": "euclidean", "threshold": 0.2, "store_capacity": None},
     }
     trace = generate_case(CaseSpec(family="threshold_edge", seed=9, params=params))
-    from repro.core.reducer import TraceReducer
+    from repro.core.reference import ReferenceReducer
 
-    reduced = TraceReducer(create_metric("euclidean", 0.2), batch=False).reduce(
-        trace.segmented()
-    )
+    reduced = ReferenceReducer(create_metric("euclidean", 0.2)).reduce(trace.segmented())
     rank = reduced.ranks[0]
     by_context: dict[str, list] = {}
     for stored in rank.stored:

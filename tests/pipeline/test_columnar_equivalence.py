@@ -5,7 +5,8 @@ frame-fed sweep engine) must be invisible in the output: for every one of the
 nine similarity metrics, over every source kind (in-memory, text file,
 ``.rpb`` file) and every dispatch mode (serial inline, sharded pool), the
 reduced trace must serialize byte-identical to the segment-at-a-time
-:class:`~repro.core.reducer.TraceReducer` oracle run over the *same* source.
+:class:`~repro.core.reference.ReferenceReducer` scan run over the *same*
+source's segment stream.
 
 Oracles are matched to the source deliberately: text files quantize
 timestamps to two decimals, so a file's oracle legitimately differs from the
@@ -18,6 +19,7 @@ from repro.benchmarks_ats import late_sender
 from repro.core.metrics import METRIC_NAMES, create_metric
 from repro.core.reduced import ReducedTrace
 from repro.core.reducer import TraceReducer
+from repro.core.reference import ReferenceReducer
 from repro.pipeline.engine import PipelineConfig, reduce_pipeline, sweep_pipeline
 from repro.pipeline.stream import rank_frame_streams, rank_segment_streams
 from repro.sweep.engine import sweep_source
@@ -58,18 +60,21 @@ def rpb_path(text_path, tmp_path_factory):
 
 
 def _oracle(source, metric_name: str, name: str = "trace") -> bytes:
-    reducer = TraceReducer(create_metric(metric_name))
-    return serialize_reduced_trace(
-        reducer.reduce_streams(name, rank_segment_streams(source))
+    reducer = ReferenceReducer(create_metric(metric_name))
+    reduced = ReducedTrace(
+        name=name, method=reducer.metric.name, threshold=reducer.metric.threshold
     )
+    for rank, segments in rank_segment_streams(source):
+        reduced.ranks.append(reducer.reduce_segments(segments, rank=rank))
+    return serialize_reduced_trace(reduced)
 
 
 @pytest.mark.parametrize("metric_name", METRIC_NAMES)
 class TestReduceFrame:
     def test_matches_reduce_segments(self, small_late_sender_trace, metric_name):
-        """reduce_frame over adapter frames == reduce_segments, per rank."""
+        """reduce_frame over adapter frames == the reference scan, per rank."""
         frame_reducer = TraceReducer(create_metric(metric_name))
-        oracle_reducer = TraceReducer(create_metric(metric_name))
+        oracle_reducer = ReferenceReducer(create_metric(metric_name))
         framed = ReducedTrace(name="t", method=frame_reducer.metric.name,
                               threshold=frame_reducer.metric.threshold)
         oracle = ReducedTrace(name="t", method=framed.method, threshold=framed.threshold)

@@ -2,13 +2,14 @@
 the pruning machinery actually engages.
 
 The randomized batch-vs-scan suite (``test_match_equivalence``) runs on
-shallow buckets, where ``match_candidates`` takes the inline dense kernel and
-the blocked/prefiltered probe never fires.  This suite builds traces whose
+shallow buckets, where ``match_row`` takes the inline dense kernel and the
+blocked/prefiltered probe never fires.  This suite builds traces whose
 representative stores grow past :data:`FIRST_BLOCK` (blocked early-exit scan)
 and past :data:`PRUNE_MIN_ROWS` (summary prefilter), then checks all three
-reducer modes — ``prune=True`` (default), ``prune=False`` (dense oracle),
-``batch=False`` (the paper's scalar scan) — produce byte-identical reduced
-traces, from the in-memory trace and from text/``.rpb`` files.
+modes — ``"pruned"`` (the production ``TraceReducer``), ``"dense"`` (the
+reference dense kernel), ``"scan"`` (the paper's scalar scan) — produce
+byte-identical reduced traces, from the in-memory trace and from
+text/``.rpb`` files.
 
 Timestamps are multiples of 0.25 µs, which the two-decimal text format
 round-trips exactly, so every source holds identical float64 values and one
@@ -23,6 +24,7 @@ from repro.core.frametrace import FrameTrace
 from repro.core.metrics import create_metric
 from repro.core.metrics.base import FIRST_BLOCK, PRUNE_MIN_ROWS
 from repro.core.reducer import TraceReducer
+from repro.core.reference import ReferenceReducer
 from repro.trace.events import MpiCallInfo
 from repro.trace.io import serialize_reduced_trace, write_trace
 from repro.trace.records import RecordKind, TraceRecord
@@ -119,8 +121,12 @@ def deep_trace():
     )
 
 
-def _reduce_bytes(trace, metric_name, threshold, *, batch=True, prune=True, counters=None):
-    reducer = TraceReducer(create_metric(metric_name, threshold), batch=batch, prune=prune)
+def _reduce_bytes(trace, metric_name, threshold, *, mode="pruned", counters=None):
+    metric = create_metric(metric_name, threshold)
+    if mode == "pruned":
+        reducer = TraceReducer(metric)
+    else:
+        reducer = ReferenceReducer(metric, mode)
     segmented = trace.segmented() if isinstance(trace, Trace) else trace
     return serialize_reduced_trace(reducer.reduce(segmented, match_counters=counters))
 
@@ -128,8 +134,8 @@ def _reduce_bytes(trace, metric_name, threshold, *, batch=True, prune=True, coun
 class TestBlockedScanEquivalence:
     @pytest.mark.parametrize("metric_name,threshold", MEDIUM_CONFIGS)
     def test_three_modes_byte_identical(self, medium_trace, metric_name, threshold):
-        scanned = _reduce_bytes(medium_trace, metric_name, threshold, batch=False)
-        dense = _reduce_bytes(medium_trace, metric_name, threshold, prune=False)
+        scanned = _reduce_bytes(medium_trace, metric_name, threshold, mode="scan")
+        dense = _reduce_bytes(medium_trace, metric_name, threshold, mode="dense")
         pruned = _reduce_bytes(medium_trace, metric_name, threshold)
         assert dense == scanned
         assert pruned == scanned
@@ -147,7 +153,7 @@ class TestPrefilterEquivalence:
     @pytest.mark.parametrize("metric_name,threshold", DEEP_CONFIGS)
     def test_pruned_matches_dense(self, deep_trace, metric_name, threshold):
         counters = MatchCounters()
-        dense = _reduce_bytes(deep_trace, metric_name, threshold, prune=False)
+        dense = _reduce_bytes(deep_trace, metric_name, threshold, mode="dense")
         pruned = _reduce_bytes(deep_trace, metric_name, threshold, counters=counters)
         assert pruned == dense
         # The prefilter must actually have engaged — otherwise this test is
@@ -157,7 +163,7 @@ class TestPrefilterEquivalence:
     def test_scalar_scan_oracle(self, deep_trace):
         # One config against the O(n²) paper scan keeps the whole chain
         # anchored: scan == dense == pruned at prefilter depth.
-        scanned = _reduce_bytes(deep_trace, "absDiff", 0.1, batch=False)
+        scanned = _reduce_bytes(deep_trace, "absDiff", 0.1, mode="scan")
         pruned = _reduce_bytes(deep_trace, "absDiff", 0.1)
         assert pruned == scanned
 
@@ -182,13 +188,13 @@ class TestAcrossSources:
     def test_all_modes_all_sources_byte_identical(
         self, medium_trace, medium_files, metric_name, threshold
     ):
-        reference = _reduce_bytes(medium_trace, metric_name, threshold, batch=False)
+        reference = _reduce_bytes(medium_trace, metric_name, threshold, mode="scan")
         sources = {
             "memory": medium_trace.segmented(),
             "text": FrameTrace.from_file(medium_files["text"]),
             "rpb": FrameTrace.from_file(medium_files["rpb"]),
         }
         for label, source in sources.items():
-            for mode in ({"prune": True}, {"prune": False}, {"batch": False}):
-                got = _reduce_bytes(source, metric_name, threshold, **mode)
+            for mode in ("pruned", "dense", "scan"):
+                got = _reduce_bytes(source, metric_name, threshold, mode=mode)
                 assert got == reference, f"{label} source diverged under {mode}"

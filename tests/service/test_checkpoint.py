@@ -217,6 +217,26 @@ def test_restore_rejects_unknown_version(streams):
         restore_state(pickle.dumps(payload))
 
 
+def test_restore_rejects_version_1_payload(streams, tmp_path):
+    # Version 1 pickled a SessionConfig that still carried the batch/prune
+    # matcher fields; such a payload must be refused, not resumed.
+    session = ReductionSession("t", SessionConfig("relDiff"))
+    rank, segments = next(iter(streams.items()))
+    session.append_segments(rank, segments[:5])
+    payload = pickle.loads(session_state(session))
+    config = payload["config"]
+    object.__setattr__(config, "batch", True)
+    object.__setattr__(config, "prune", True)
+    payload["version"] = 1
+    data = pickle.dumps(payload)
+    with pytest.raises(ValueError, match="version 1"):
+        restore_state(data)
+    path = tmp_path / "v1.ckpt"
+    path.write_bytes(data)
+    with pytest.raises(ValueError, match="version 1"):
+        load_checkpoint(path)
+
+
 def _finish_in_child(checkpoint_path, tail, out_path):
     """Spawn target: restore from file, append the tail, write reduced bytes."""
     session = load_checkpoint(checkpoint_path)
